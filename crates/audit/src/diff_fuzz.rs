@@ -10,7 +10,8 @@
 //! * `psc-replay` — a transaction schedule (hostile faucets, saturating
 //!   gas prices, reverting and overflowing contract calls) runs on two
 //!   chains; receipts, state commitments, and submit verdicts must match,
-//!   and native value must be conserved after every block.
+//!   native value must be conserved after every block, and every sealed
+//!   state commitment must equal the from-scratch recompute.
 //! * `evidence-cache` — the parallel memoizing [`EvidenceVerifier`] must
 //!   return the byte-identical verdict as the sequential verifier, cold
 //!   and warm, and cache hits must not change gas accounting.
@@ -406,7 +407,18 @@ fn run_psc_schedule(
             }
             PscOp::Seal => {
                 time += 15;
-                chain.produce_block(time);
+                let sealed = chain.produce_block(time).state_commitment;
+                // The incrementally maintained commitment must equal a
+                // recompute over every leaf, both as sealed into the block
+                // and as read back from the tip.
+                let recomputed = chain.state().commitment_from_scratch();
+                let tip = chain.state_commitment();
+                if sealed != recomputed || tip != recomputed {
+                    return Err(format!(
+                        "state commitment cache diverged: sealed {sealed:?}, \
+                         tip {tip:?}, recomputed {recomputed:?}"
+                    ));
+                }
                 for hash in pending.drain(..) {
                     let receipt = chain
                         .receipt(&hash)

@@ -22,8 +22,8 @@ use btcfast_obs::Registry;
 ///
 /// Covers the BTC side (chain connect/reorg stats, mempool admissions and
 /// depth, this thread's signature-cache behavior), the PSC side (height,
-/// total gas, journal high-water), and the merchant's accelerated
-/// evidence-verifier cache.
+/// total gas, journal high-water, state entries, commitment leaves
+/// rehashed), and the merchant's accelerated evidence-verifier cache.
 pub fn publish_session(registry: &Registry, session: &FastPaySession) {
     let chain = session.btc.stats();
     registry.set_gauge("btcfast_btc_blocks_connected", chain.blocks_connected);
@@ -67,6 +67,14 @@ pub fn publish_session(registry: &Registry, session: &FastPaySession) {
     registry.set_gauge(
         "btcfast_psc_journal_high_water",
         session.psc.journal_high_water() as u64,
+    );
+    // State size and the commitment work it costs: leaves rehashed grows
+    // with what blocks wrote, not with how large the state has become.
+    let state = session.psc.state();
+    registry.set_gauge("btcfast_psc_state_entries", state.entries() as u64);
+    registry.set_gauge(
+        "btcfast_psc_commitment_leaves_rehashed",
+        state.leaves_rehashed(),
     );
 
     let cache = session.verifier().cache_stats();
@@ -219,6 +227,36 @@ mod tests {
         // Re-scraping is idempotent: gauges snapshot, they don't accumulate.
         publish_session(&registry, &session);
         assert_eq!(registry.gauge("btcfast_mempool_admitted").get(), 1);
+    }
+
+    #[test]
+    fn psc_state_gauges_match_the_session() {
+        let mut session = FastPaySession::new(SessionConfig::default(), 32);
+        let registry = Registry::new();
+        let scrape = |session: &FastPaySession| {
+            publish_session(&registry, session);
+            let entries = registry.gauge("btcfast_psc_state_entries").get();
+            let rehashed = registry
+                .gauge("btcfast_psc_commitment_leaves_rehashed")
+                .get();
+            assert_eq!(entries, session.psc.state().entries() as u64);
+            assert_eq!(rehashed, session.psc.state().leaves_rehashed());
+            // Every live entry was hashed into a sealed block at least once.
+            assert!(rehashed >= entries && entries > 0, "{rehashed} < {entries}");
+            (entries, rehashed)
+        };
+        assert!(session.run_fast_payment(1_000_000).unwrap().accepted);
+        let (entries, rehashed) = scrape(&session);
+        session.mine_public_block().unwrap();
+        assert!(session.run_fast_payment(1_000_000).unwrap().accepted);
+        let (entries_after, rehashed_after) = scrape(&session);
+        // The second payment's escrow records grew the state, and sealing
+        // them cost work.
+        assert!(entries_after > entries);
+        assert!(rehashed_after > rehashed);
+        assert!(registry
+            .render_prometheus()
+            .contains("btcfast_psc_state_entries"));
     }
 
     #[test]

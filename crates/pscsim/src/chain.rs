@@ -196,7 +196,7 @@ impl PscChain {
                 .map(|b| b.hash())
                 .unwrap_or(Hash256::ZERO),
             tx_hashes,
-            state_commitment: self.state.commitment(),
+            state_commitment: self.state.seal_commitment(),
         };
         self.blocks.push(block);
         self.blocks.last().expect("just pushed")
@@ -451,6 +451,11 @@ impl PscChain {
     /// Commitment over the current world state (the tip "state root").
     pub fn state_commitment(&self) -> Hash256 {
         self.state.commitment()
+    }
+
+    /// Read-only view of the world state (sizes, commitment diagnostics).
+    pub fn state(&self) -> &WorldState {
+        &self.state
     }
 }
 

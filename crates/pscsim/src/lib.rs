@@ -45,6 +45,7 @@ pub mod account;
 pub mod block;
 pub mod chain;
 pub mod codec;
+mod commitment;
 pub mod contract;
 pub mod gas;
 pub mod params;

@@ -1,7 +1,7 @@
 //! The world state: accounts and contract storage.
 
 use crate::account::{Account, AccountId};
-use btcfast_crypto::sha256::Sha256;
+use crate::commitment::{self, CommitmentTree, LeafKey, SlotKey};
 use btcfast_crypto::Hash256;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -82,6 +82,10 @@ pub struct Checkpoint(usize);
 /// `BTreeMap`s keep iteration deterministic, which makes the state
 /// commitment reproducible across runs.
 ///
+/// Every write path also marks the key it touched dirty in the state
+/// commitment tree, so sealing a block rehashes only what the block
+/// touched ([`seal_commitment`](WorldState::seal_commitment)).
+///
 /// Between [`begin_transaction`](WorldState::begin_transaction) and
 /// [`commit`](WorldState::commit)/[`rollback`](WorldState::rollback) every
 /// mutation records the pre-image of the entry it touches, so reverting a
@@ -90,7 +94,7 @@ pub struct Checkpoint(usize);
 #[derive(Clone, Debug, Default)]
 pub struct WorldState {
     accounts: BTreeMap<AccountId, Account>,
-    storage: BTreeMap<(AccountId, Vec<u8>), Vec<u8>>,
+    storage: BTreeMap<SlotKey, Vec<u8>>,
     /// Pre-images of entries touched since the outermost open checkpoint.
     journal: Vec<JournalEntry>,
     /// True while a transaction is open; mutations outside one skip the
@@ -99,6 +103,9 @@ pub struct WorldState {
     /// Deepest the journal has ever grown (observability: the checkpoint
     /// depth metric). Like the journal itself, excluded from equality.
     journal_high_water: usize,
+    /// Cached leaf hashes and root plus the keys written since the last
+    /// seal. Derived from the content above, so excluded from equality.
+    tree: CommitmentTree,
 }
 
 impl PartialEq for WorldState {
@@ -130,6 +137,7 @@ impl WorldState {
 
     /// Mutable account access, creating a default record on first touch.
     pub fn account_mut(&mut self, id: AccountId) -> &mut Account {
+        self.tree.mark(LeafKey::Account(id));
         if self.recording {
             let prev = self.accounts.get(&id).cloned();
             self.record(JournalEntry::Account { id, prev });
@@ -220,6 +228,7 @@ impl WorldState {
         key: Vec<u8>,
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
+        self.tree.mark(LeafKey::Storage((contract, key.clone())));
         if self.recording {
             let prev = self.storage.insert((contract, key.clone()), value);
             self.record(JournalEntry::Storage {
@@ -235,7 +244,8 @@ impl WorldState {
 
     /// Deletes a contract storage slot, returning the previous value.
     pub fn storage_remove(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
-        let prev = self.storage.remove(&(*contract, key.to_vec()));
+        let slot = (*contract, key.to_vec());
+        let prev = self.storage.remove(&slot);
         if self.recording {
             self.record(JournalEntry::Storage {
                 contract: *contract,
@@ -243,6 +253,7 @@ impl WorldState {
                 prev: prev.clone(),
             });
         }
+        self.tree.mark(LeafKey::Storage(slot));
         prev
     }
 
@@ -276,26 +287,33 @@ impl WorldState {
     pub fn rollback(&mut self, checkpoint: Checkpoint) {
         while self.journal.len() > checkpoint.0 {
             match self.journal.pop().expect("length checked above") {
-                JournalEntry::Account { id, prev } => match prev {
-                    Some(account) => {
-                        self.accounts.insert(id, account);
+                JournalEntry::Account { id, prev } => {
+                    match prev {
+                        Some(account) => {
+                            self.accounts.insert(id, account);
+                        }
+                        None => {
+                            self.accounts.remove(&id);
+                        }
                     }
-                    None => {
-                        self.accounts.remove(&id);
-                    }
-                },
+                    self.tree.mark(LeafKey::Account(id));
+                }
                 JournalEntry::Storage {
                     contract,
                     key,
                     prev,
-                } => match prev {
-                    Some(value) => {
-                        self.storage.insert((contract, key), value);
+                } => {
+                    let slot = (contract, key);
+                    match prev {
+                        Some(value) => {
+                            self.storage.insert(slot.clone(), value);
+                        }
+                        None => {
+                            self.storage.remove(&slot);
+                        }
                     }
-                    None => {
-                        self.storage.remove(&(contract, key));
-                    }
-                },
+                    self.tree.mark(LeafKey::Storage(slot));
+                }
             }
         }
         if checkpoint.0 == 0 {
@@ -314,27 +332,63 @@ impl WorldState {
         self.journal_high_water
     }
 
-    /// A deterministic commitment over the full state (hash of the sorted
-    /// account and storage entries) — stands in for a Merkle-Patricia root.
+    /// Number of accounts plus storage slots: the commitment tree's leaf
+    /// count once sealed.
+    pub fn entries(&self) -> usize {
+        self.accounts.len() + self.storage.len()
+    }
+
+    /// Leaf hashes computed by every [`seal_commitment`] so far: one per
+    /// distinct key a sealed block wrote that still existed at the seal.
+    ///
+    /// [`seal_commitment`]: WorldState::seal_commitment
+    pub fn leaves_rehashed(&self) -> u64 {
+        self.tree.leaves_rehashed()
+    }
+
+    /// The current leaf hash of `key`, or `None` if the entry is absent.
+    fn leaf(
+        accounts: &BTreeMap<AccountId, Account>,
+        storage: &BTreeMap<SlotKey, Vec<u8>>,
+        key: &LeafKey,
+    ) -> Option<[u8; 32]> {
+        match key {
+            LeafKey::Account(id) => accounts
+                .get(id)
+                .map(|account| commitment::account_leaf(id, account)),
+            LeafKey::Storage(slot) => storage
+                .get(slot)
+                .map(|value| commitment::storage_leaf(&slot.0, &slot.1, value)),
+        }
+    }
+
+    /// Folds every key written since the last seal into the commitment
+    /// tree and returns the commitment — the state root a block seals.
+    /// Costs one leaf hash per distinct written key plus the buckets they
+    /// fall in; with nothing written it returns the previous root.
+    pub fn seal_commitment(&mut self) -> Hash256 {
+        let (accounts, storage) = (&self.accounts, &self.storage);
+        self.tree.seal(|key| Self::leaf(accounts, storage, key))
+    }
+
+    /// A deterministic commitment over the full state — a two-level hash
+    /// tree of per-entry leaves that stands in for a Merkle-Patricia root.
+    /// Reads the cache without updating it: keys written since the last
+    /// [`seal_commitment`](WorldState::seal_commitment) are rehashed into
+    /// a scratch copy of their buckets.
     pub fn commitment(&self) -> Hash256 {
-        let mut hasher = Sha256::new();
-        for (id, account) in &self.accounts {
-            hasher.update(&id.0);
-            hasher.update(&account.balance.to_le_bytes());
-            hasher.update(&account.nonce.to_le_bytes());
-            if let Some(code_id) = &account.code_id {
-                hasher.update(code_id.as_bytes());
-            }
-            hasher.update(&[0xFE]); // account-record separator
-        }
-        for ((contract, key), value) in &self.storage {
-            hasher.update(&contract.0);
-            hasher.update(&(key.len() as u64).to_le_bytes());
-            hasher.update(key);
-            hasher.update(&(value.len() as u64).to_le_bytes());
-            hasher.update(value);
-        }
-        Hash256(hasher.finalize())
+        self.tree
+            .root(|key| Self::leaf(&self.accounts, &self.storage, key))
+    }
+
+    /// The same commitment recomputed from every entry with no cache
+    /// involved — the oracle tests and audits check the incremental tree
+    /// against. O(state); no production path calls it.
+    pub fn commitment_from_scratch(&self) -> Hash256 {
+        commitment::root_from_scratch(
+            commitment::account_leaves(&self.accounts)
+                .chain(commitment::storage_leaves(&self.storage)),
+        )
     }
 }
 
